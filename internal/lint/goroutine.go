@@ -8,9 +8,9 @@ import (
 // that exactly one goroutine — the engine loop or one cooperatively
 // scheduled process — is runnable at any instant; a raw go statement
 // races the engine, and the Go scheduler's interleaving is not
-// reproducible across runs. The single legitimate use is the kernel's
-// own process machinery (internal/sim/process.go), which carries an
-// allow directive.
+// reproducible across runs. Processes are coroutines (iter.Pull), not
+// goroutines; the single legitimate use is the sharded engine's per-shard
+// worker (internal/sim/shard.go), which carries an allow directive.
 var Goroutine = &Analyzer{
 	Name: "goroutine",
 	Doc: "forbid go statements in model packages; all model code must run on the engine " +

@@ -26,17 +26,31 @@ const CacheLineSize = 64
 // lineOf returns the cache line index containing a.
 func lineOf(a Addr) Addr { return a / CacheLineSize }
 
-// Region is an allocated span of simulated host memory.
+// Region is an allocated span of simulated host memory. It records its
+// size at allocation; its bytes are backed only when a Write or Fill first
+// touches it, so a region the models only size (payload-free runs) costs
+// no host memory, the way a real NIC's pages need not be backed until
+// touched.
 type Region struct {
 	Base Addr
-	Data []byte
+	size int
+	data []byte // nil until the first Write or Fill
 }
 
 // Size returns the region length in bytes.
-func (r *Region) Size() int { return len(r.Data) }
+func (r *Region) Size() int { return r.size }
 
 // End returns the first address past the region.
-func (r *Region) End() Addr { return r.Base + Addr(len(r.Data)) }
+func (r *Region) End() Addr { return r.Base + Addr(r.size) }
+
+// backing returns the region's bytes, allocating them (zeroed) on first
+// use.
+func (r *Region) backing() []byte {
+	if r.data == nil {
+		r.data = make([]byte, r.size)
+	}
+	return r.data
+}
 
 // Contains reports whether [a, a+n) lies entirely within the region.
 func (r *Region) Contains(a Addr, n int) bool {
@@ -70,9 +84,11 @@ func (w *Watcher) Cancel() {
 	}
 }
 
-// Memory is one node's host memory. Allocation is a simple bump allocator:
-// the simulation never frees host memory (buffers are reused at the model
-// level, mirroring how registered buffers behave in real RDMA stacks).
+// Memory is one node's host memory. Allocation is a simple bump allocator
+// that never frees: regions are backed lazily (only touched regions hold
+// host bytes), and the models repost completed buffers rather than
+// allocating new ones, so the region count stays bounded by the posted
+// depth, the way registered buffers are recycled in real RDMA stacks.
 type Memory struct {
 	next     Addr
 	regions  []*Region // sorted by Base
@@ -98,7 +114,7 @@ func (m *Memory) Alloc(size int) *Region {
 	}
 	// Align base to a cache line, as real allocators for DMA targets do.
 	base := (m.next + CacheLineSize - 1) / CacheLineSize * CacheLineSize
-	r := &Region{Base: base, Data: make([]byte, size)}
+	r := &Region{Base: base, size: size}
 	m.next = base + Addr(size)
 	m.regions = append(m.regions, r)
 	return r
@@ -127,7 +143,7 @@ func (m *Memory) Write(a Addr, p []byte) {
 	if r == nil {
 		panic(fmt.Sprintf("memory: write of %d bytes at %#x outside any region", len(p), a))
 	}
-	copy(r.Data[a-r.Base:], p)
+	copy(r.backing()[a-r.Base:], p)
 	m.Writes++
 	m.BytesWritten += uint64(len(p))
 	m.notify(a, len(p))
@@ -144,7 +160,7 @@ func (m *Memory) Fill(a Addr, b byte, n int) {
 	if r == nil {
 		panic(fmt.Sprintf("memory: fill of %d bytes at %#x outside any region", n, a))
 	}
-	d := r.Data[a-r.Base : a-r.Base+Addr(n)]
+	d := r.backing()[a-r.Base : a-r.Base+Addr(n)]
 	for i := range d {
 		d[i] = b
 	}
@@ -153,7 +169,8 @@ func (m *Memory) Fill(a Addr, b byte, n int) {
 	m.notify(a, n)
 }
 
-// Read copies n bytes starting at a into a fresh slice.
+// Read copies n bytes starting at a into a fresh slice. A region no write
+// has touched reads as zeros without being backed.
 func (m *Memory) Read(a Addr, n int) []byte {
 	r := m.regionFor(a, n)
 	if r == nil {
@@ -162,7 +179,9 @@ func (m *Memory) Read(a Addr, n int) []byte {
 	m.Reads++
 	m.BytesRead += uint64(n)
 	out := make([]byte, n)
-	copy(out, r.Data[a-r.Base:])
+	if r.data != nil {
+		copy(out, r.data[a-r.Base:])
+	}
 	return out
 }
 
@@ -199,6 +218,10 @@ func (m *Memory) Watch(a Addr, fn func(addr Addr, n int)) *Watcher {
 	m.watchers[w.line] = append(m.watchers[w.line], w)
 	return w
 }
+
+// RegionCount returns the number of regions allocated so far (for
+// bounded-memory tests).
+func (m *Memory) RegionCount() int { return len(m.regions) }
 
 // WatcherCount returns the number of live watchers (for leak tests).
 func (m *Memory) WatcherCount() int {

@@ -79,7 +79,7 @@ func TestOutOfBoundsReadPanics(t *testing.T) {
 }
 
 func TestRegionContains(t *testing.T) {
-	r := &Region{Base: 0x100, Data: make([]byte, 64)}
+	r := &Region{Base: 0x100, size: 64}
 	if !r.Contains(0x100, 64) {
 		t.Fatal("full-span Contains failed")
 	}
@@ -324,5 +324,86 @@ func TestWatcherNotifyOrderDeterministic(t *testing.T) {
 		if fired[i] != want[i] {
 			t.Fatalf("fired %v, want %v", fired, want)
 		}
+	}
+}
+
+// TestUntouchedRegionReadsZeros: a region no write has touched reads as
+// zeros and stays unbacked; the first Write or Fill backs it.
+func TestUntouchedRegionReadsZeros(t *testing.T) {
+	m := New()
+	r := m.Alloc(4096)
+	if got := m.Read(r.Base+100, 32); !bytes.Equal(got, make([]byte, 32)) {
+		t.Fatalf("untouched region read %v, want zeros", got)
+	}
+	if r.data != nil {
+		t.Fatal("Read backed an untouched region")
+	}
+	m.Write(r.Base+8, []byte{7})
+	if r.data == nil || len(r.data) != 4096 {
+		t.Fatal("Write did not back the region at its full size")
+	}
+	if got := m.Read(r.Base, 16); got[8] != 7 || got[0] != 0 || got[9] != 0 {
+		t.Fatalf("read after write = %v", got)
+	}
+	f := m.Alloc(128)
+	m.Fill(f.Base+64, 0xCC, 1)
+	if f.data == nil || m.Read(f.Base+63, 2)[1] != 0xCC {
+		t.Fatal("Fill did not back the region")
+	}
+}
+
+// TestAllocAndSizeDoNotBack: sizing and bounds queries never materialize
+// the region's bytes, so payload-free runs hold no host memory per region.
+func TestAllocAndSizeDoNotBack(t *testing.T) {
+	m := New()
+	var r *Region
+	allocs := testing.AllocsPerRun(100, func() {
+		r = m.Alloc(1 << 20)
+	})
+	if allocs > 2 {
+		t.Fatalf("Alloc of a 1 MiB region made %.1f allocations, want <= 2 (no backing)", allocs)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if r.Size() != 1<<20 || !r.Contains(r.Base, 1<<20) || r.End() != r.Base+1<<20 {
+			t.Fatal("region bounds wrong")
+		}
+	}); n != 0 {
+		t.Fatalf("Size/Contains/End allocated %.1f times", n)
+	}
+	if r.data != nil {
+		t.Fatal("bounds queries backed the region")
+	}
+}
+
+// TestOutOfBoundsPanicsOnLazyRegions: bounds checks do not depend on
+// backing — an access past an unbacked region panics with the same
+// message as before, and a failed access does not back anything.
+func TestOutOfBoundsPanicsOnLazyRegions(t *testing.T) {
+	cases := []struct {
+		name string
+		op   func(m *Memory, r *Region)
+		want string
+	}{
+		{"write", func(m *Memory, r *Region) { m.Write(r.End()-4, make([]byte, 8)) },
+			"memory: write of 8 bytes at 0x100c outside any region"},
+		{"fill", func(m *Memory, r *Region) { m.Fill(r.End(), 1, 1) },
+			"memory: fill of 1 bytes at 0x1010 outside any region"},
+		{"read", func(m *Memory, r *Region) { m.Read(r.Base-1, 2) },
+			"memory: read of 2 bytes at 0xfff outside any region"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := New()
+			r := m.Alloc(16)
+			defer func() {
+				if got := recover(); got != tc.want {
+					t.Fatalf("panic = %v, want %q", got, tc.want)
+				}
+				if r.data != nil {
+					t.Fatal("failed access backed the region")
+				}
+			}()
+			tc.op(m, r)
+		})
 	}
 }

@@ -26,7 +26,9 @@
 // FIFO queues written by the sender at issue time and read by the
 // receiver at arrival time. Arrival is at least one fabric traversal —
 // and therefore at least one conservative-lookahead window — after the
-// push, so the shard barrier orders every push before its pop.
+// push, so the shard barrier orders every push before its pop. Pushes of
+// later descriptors may run concurrently with that pop; they write only
+// their own preallocated slots (see kvFifo).
 package motif
 
 import (
@@ -154,16 +156,33 @@ type kvOp struct {
 }
 
 // kvFifo is a single-producer single-consumer descriptor queue for one
-// (proxy, server) direction. Capacity is preallocated to the pair's
-// planned op count so the run never grows it.
+// (proxy, server) direction. Its slots are preallocated to the pair's
+// planned op count and never move, and the tail belongs to the producer
+// alone, so a pop on one shard never reads a word that a push on another
+// shard writes in the same round. Each slot's filled flag lets pop detect
+// a descriptor that was never pushed: a Recv completing with no request
+// queued.
 type kvFifo[T any] struct {
-	items []T
-	head  int
+	items  []T
+	filled []bool
+	head   int // consumer-owned
+	tail   int // producer-owned
 }
 
-func (q *kvFifo[T]) push(v T) { q.items = append(q.items, v) }
+func newKVFifo[T any](n int) kvFifo[T] {
+	return kvFifo[T]{items: make([]T, n), filled: make([]bool, n)}
+}
+
+func (q *kvFifo[T]) push(v T) {
+	q.items[q.tail] = v
+	q.filled[q.tail] = true
+	q.tail++
+}
 
 func (q *kvFifo[T]) pop() T {
+	if q.head >= len(q.filled) || !q.filled[q.head] {
+		panic(fmt.Sprintf("motif: kv descriptor pop of unfilled slot %d of %d", q.head, len(q.filled)))
+	}
 	v := q.items[q.head]
 	q.head++
 	return v
@@ -274,17 +293,13 @@ func RunKV(c *Cluster, cfg KVConfig) (sim.Time, *KVResult, error) {
 	for pi := range reqQ {
 		reqQ[pi] = make([]kvFifo[kv.Request], cfg.Servers)
 		for s := range reqQ[pi] {
-			if n := pairCount[pi][s]; n > 0 {
-				reqQ[pi][s].items = make([]kv.Request, 0, n)
-			}
+			reqQ[pi][s] = newKVFifo[kv.Request](pairCount[pi][s])
 		}
 	}
 	for s := range respQ {
 		respQ[s] = make([]kvFifo[kv.Reply], proxies)
 		for pi := range respQ[s] {
-			if n := pairCount[pi][s]; n > 0 {
-				respQ[s][pi].items = make([]kv.Reply, 0, n)
-			}
+			respQ[s][pi] = newKVFifo[kv.Reply](pairCount[pi][s])
 		}
 	}
 

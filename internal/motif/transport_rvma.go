@@ -17,14 +17,18 @@ import (
 // The transport keeps `depth` buffers posted per mailbox and reposts on
 // every completion, which is precisely the pattern RVMA_Win_get_epoch is
 // designed for ("system software may want to guarantee that a constant
-// number of buffers are always posted", §III-C). Senders never wait for
-// anything: receiver-managed buffering removes all per-message
-// coordination.
+// number of buffers are always posted", §III-C). Reposting reuses the
+// completed buffers themselves, so a mailbox owns depth + history
+// buffers for the whole run. Senders never wait for anything:
+// receiver-managed buffering removes all per-message coordination.
 type rvmaTransport struct {
 	ep    *rvma.Endpoint
 	ranks int
 	depth int
-	boxes map[int]*mailboxState
+	// history is the endpoint's Rewind history depth: how many completed
+	// buffers each window retains before one can be reposted.
+	history int
+	boxes   map[int]*mailboxState
 	// rec, when non-nil, puts every Send under the recovery layer's
 	// timeout/retransmit policy (acked puts instead of fire-and-forget)
 	// and arms receiver-side window guards on Recv.
@@ -46,10 +50,14 @@ type mailboxState struct {
 	available int
 	waiters   []*sim.Future
 	maxMsg    int
+	// retired are the completed buffers the window may still hold in its
+	// Rewind history, oldest first.
+	retired []*rvma.Buffer
 }
 
 func newRVMATransport(ep *rvma.Endpoint, ranks, depth int, rec *recovery.Manager) *rvmaTransport {
-	return &rvmaTransport{ep: ep, ranks: ranks, depth: depth, boxes: make(map[int]*mailboxState), rec: rec}
+	return &rvmaTransport{ep: ep, ranks: ranks, depth: depth, history: ep.Config().HistoryDepth,
+		boxes: make(map[int]*mailboxState), rec: rec}
 }
 
 // Rank implements Transport.
@@ -82,10 +90,12 @@ func (t *rvmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future
 		// Observe every epoch completion: repost a buffer to keep the
 		// posted depth constant, then hand the message to a waiting Recv
 		// (or bank it). SetCompletionHandler cannot miss back-to-back
-		// completions, unlike re-arming one-shot waiters.
+		// completions, unlike re-arming one-shot waiters. The count is
+		// read first: reposting b resets it.
 		win.SetCompletionHandler(func(b *rvma.Buffer) {
-			t.postOne(box)
-			if b.Count < win.Threshold() {
+			delivered := b.Count >= win.Threshold()
+			t.repost(box, b)
+			if !delivered {
 				// A guard reclaim (IncEpoch on a holed buffer): the buffer
 				// was salvaged and reposted, but no message completed, so
 				// there is nothing to deliver to a Recv.
@@ -108,6 +118,24 @@ func (t *rvmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future
 func (t *rvmaTransport) postOne(box *mailboxState) {
 	if _, err := box.win.PostBuffer(box.maxMsg); err != nil {
 		panic(fmt.Sprintf("motif: rank %d post: %v", t.Rank(), err))
+	}
+}
+
+// repost replaces the just-completed buffer b in the mailbox's queue. It
+// reuses the buffer b's completion pushed out of the window's Rewind
+// history (b itself when no history is kept); until the history has
+// filled, nothing has left it yet and a fresh buffer is posted.
+func (t *rvmaTransport) repost(box *mailboxState, b *rvma.Buffer) {
+	box.retired = append(box.retired, b)
+	if len(box.retired) <= t.history {
+		t.postOne(box)
+		return
+	}
+	old := box.retired[0]
+	copy(box.retired, box.retired[1:])
+	box.retired = box.retired[:len(box.retired)-1]
+	if err := box.win.Repost(old); err != nil {
+		panic(fmt.Sprintf("motif: rank %d repost: %v", t.Rank(), err))
 	}
 }
 

@@ -33,6 +33,7 @@ type Buffer struct {
 	// (zero while active/queued).
 	CompletedAt sim.Time
 	completed   bool
+	win         *Window // the window the buffer was posted on
 	// completing marks a threshold crossing whose (spilled-counter)
 	// completion is pending, so late packets can't double-complete it.
 	completing bool
@@ -169,13 +170,47 @@ func (w *Window) PostBufferRegion(region *memory.Region) (*Buffer, error) {
 	b := &Buffer{
 		Region: region,
 		Cell:   memory.NewCompletionCell(w.ep.Memory()),
+		win:    w,
 	}
-	wasEmpty := len(w.queue) == 0
+	w.enqueue(b)
+	return b, nil
+}
+
+// Repost re-queues a completed buffer with its own region and completion
+// cell: the paper's RVMA_Post_buffer loop keeps a constant set of buffers
+// posted (§III-C), and reposting lets it do so without allocating a new
+// region and cell per epoch. The buffer's per-epoch fields are reset and
+// its completion cell cleared. A buffer from another window, one still
+// queued or whose completion-pointer write has not landed yet, and one
+// the window still retains for Rewind are rejected.
+func (w *Window) Repost(b *Buffer) error {
+	if w.closed {
+		return ErrClosed
+	}
+	if b == nil || b.win != w {
+		return fmt.Errorf("%w: buffer was not posted on mailbox %#x", ErrBadArgument, w.vaddr)
+	}
+	if !b.completed {
+		return fmt.Errorf("%w: buffer is queued or its completion has not landed", ErrBadArgument)
+	}
+	for _, h := range w.history {
+		if h == b {
+			return fmt.Errorf("%w: buffer of epoch %d is still retained for Rewind", ErrBadArgument, b.Epoch)
+		}
+	}
+	*b = Buffer{Region: b.Region, Cell: b.Cell, win: w}
+	b.Cell.Clear()
+	w.enqueue(b)
+	return nil
+}
+
+// enqueue appends b to the posted queue, activating it if it is the only
+// buffer.
+func (w *Window) enqueue(b *Buffer) {
 	w.queue = append(w.queue, b)
-	if wasEmpty {
+	if len(w.queue) == 1 {
 		w.activateHead()
 	}
-	return b, nil
 }
 
 // activateHead marks queue[0] as serving the current epoch and accounts

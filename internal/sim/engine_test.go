@@ -558,8 +558,9 @@ func TestProcessPanicPropagates(t *testing.T) {
 		panic("kaboom")
 	})
 	defer func() {
-		if recover() == nil {
-			t.Fatal("process panic should propagate to engine")
+		const want = `sim: process "boom" panicked: kaboom`
+		if r := recover(); r != want {
+			t.Fatalf("process panic surfaced as %v, want %q", r, want)
 		}
 	}()
 	e.Run()

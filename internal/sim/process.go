@@ -1,25 +1,30 @@
+//go:build go1.23
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+)
 
 // Process is a cooperatively scheduled simulation actor, in the style of
 // process-oriented kernels (SimPy, OMNeT++ activities). A process body runs
-// on its own goroutine, but the engine guarantees that exactly one
-// goroutine — either the engine loop or one process — is runnable at any
-// instant, so process code needs no locking and the simulation stays
-// deterministic.
+// as a coroutine (iter.Pull): resuming it switches directly from the
+// engine to the body and parking switches straight back, so exactly one
+// of them — the engine loop or one process — runs at any instant, process
+// code needs no locking, and the simulation stays deterministic.
 //
 // Processes make protocol code read sequentially: a motif rank can write
 // "put; wait for completion; compute; next iteration" instead of a hand-
 // rolled state machine.
 type Process struct {
-	eng    *Engine
-	name   string
-	label  Label         // stamped on spawn/Sleep/resume events (Tagged.Spawn)
-	run    chan struct{} // engine -> process: resume
-	parked chan struct{} // process -> engine: parked or finished
-	done   bool
-	err    any // panic value captured from the body, re-raised on the engine
+	eng   *Engine
+	name  string
+	label Label                   // stamped on spawn/Sleep/resume events (Tagged.Spawn)
+	next  func() (struct{}, bool) // engine -> process: run until the next park
+	yield func(struct{}) bool     // process -> engine: park
+	done  bool
+	err   any // panic value captured from the body, re-raised on the engine
 }
 
 // Spawn starts a new process executing body at the current simulated time.
@@ -30,45 +35,32 @@ func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
 }
 
 func (e *Engine) spawn(name string, label Label, body func(p *Process)) *Process {
-	p := &Process{
-		eng:    e,
-		name:   name,
-		label:  label,
-		run:    make(chan struct{}),
-		parked: make(chan struct{}),
-	}
+	p := &Process{eng: e, name: name, label: label}
 	e.procs++
-	// The process body runs on its own goroutine, but only ever while the
-	// engine goroutine is parked on the run/parked channel handshake, so
-	// simulated time stays sequential.
-	//rvmalint:allow goroutine -- kernel-internal coroutine handshake
-	go func() {
-		<-p.run // wait for first activation
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					p.err = r
-				}
-			}()
-			body(p)
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
+		defer func() {
+			if r := recover(); r != nil {
+				p.err = r
+			}
 		}()
-		p.done = true
-		p.eng.procs--
-		p.parked <- struct{}{}
-	}()
+		body(p)
+	})
 	e.schedule(0, 0, label, func() { p.resume() })
 	return p
 }
 
-// resume hands control to the process goroutine and blocks the engine until
-// the process parks again (or finishes). It must only be called from the
-// engine goroutine, i.e. from inside an event.
+// resume runs the process body until it parks again (or finishes). It must
+// only be called from the engine's side, i.e. from inside an event.
 func (p *Process) resume() {
 	if p.done {
 		return
 	}
-	p.run <- struct{}{}
-	<-p.parked
+	if _, running := p.next(); running {
+		return
+	}
+	p.done = true
+	p.eng.procs--
 	if p.err != nil {
 		panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, p.err))
 	}
@@ -76,10 +68,7 @@ func (p *Process) resume() {
 
 // park suspends the process and returns control to the engine. The caller
 // must have arranged for a future event to call resume.
-func (p *Process) park() {
-	p.parked <- struct{}{}
-	<-p.run
-}
+func (p *Process) park() { p.yield(struct{}{}) }
 
 // Name returns the name given at Spawn time, for diagnostics.
 func (p *Process) Name() string { return p.name }
