@@ -148,11 +148,18 @@ func (c Config) Validate() error {
 // Packet is one wire packet. Payload semantics belong to the NIC protocol
 // layers; the fabric only reads Size (payload bytes, excluding header) and
 // the addressing fields.
+//
+// Packets are pooled (see pool.go): Network.NewPacket hands one out and
+// Network.Free takes it back, so a *Packet is only valid until it is
+// freed. A packet built as a literal and never freed is ordinary garbage.
 type Packet struct {
-	ID      uint64
-	Src     int
-	Dst     int
-	Size    int // payload bytes; HeaderBytes is added on the wire
+	ID     uint64
+	Src    int
+	Dst    int
+	Size   int // payload bytes; HeaderBytes is added on the wire
+	Offset int // payload offset within the packet's message
+	// Payload is the protocol's per-message command, shared by every
+	// packet of the message; receivers must treat it as read-only.
 	Payload any
 
 	// Bookkeeping maintained by the fabric.
@@ -165,6 +172,15 @@ type Packet struct {
 	// component.
 	QueueWait sim.Time
 	misrouted bool
+
+	// hop is the switch the pending atSwitch event runs at, or the node
+	// the pending deliver event hands the packet to.
+	hop int
+	// next is the step the pre-bound runner executes; run is that runner,
+	// built once per packet object (see Then).
+	next  func(*Packet)
+	run   func()
+	state uint8 // pool lifecycle: pktLive / pktFree
 }
 
 // WireSize returns payload plus header bytes.
@@ -210,6 +226,13 @@ type Network struct {
 	nextID uint64
 	Stats  Stats
 	tracer *trace.Tracer
+
+	// pools holds one packet free list and routing scratch per shard (one
+	// in single-heap mode); see pool.go. atSwitchFn and deliverFn are the
+	// packet steps, bound once so scheduling a hop allocates nothing.
+	pools      []packetPool
+	atSwitchFn func(*Packet)
+	deliverFn  func(*Packet)
 
 	// Metric handles, resolved once at SetMetrics; all nil when no registry
 	// is attached, so the hot path pays one nil check per hook.
@@ -412,6 +435,7 @@ func New(eng *sim.Engine, topo topology.Topology, cfg Config) (*Network, error) 
 		n.hostTx[i] = sim.NewResource(fmt.Sprintf("host%d.tx", i))
 	}
 	n.nonMin, _ = topo.(topology.NonMinimalRouter)
+	n.bindPackets(1)
 	n.faults = cfg.effectivePlan()
 	if n.faults.Enabled() {
 		// Seed the fault stream with one draw from the shared stream:
@@ -450,6 +474,8 @@ func (n *Network) AttachHost(node int, fn DeliverFunc) {
 // sharded mode the caller must be executing on the source node's shard
 // (NICs are constructed on their node's shard engine, so this holds by
 // construction).
+//
+//rvmalint:hot
 func (n *Network) Inject(pkt *Packet) {
 	if pkt.Src < 0 || pkt.Src >= len(n.hostTx) || pkt.Dst < 0 || pkt.Dst >= len(n.hosts) {
 		panic(fmt.Sprintf("fabric: inject with bad endpoints src=%d dst=%d", pkt.Src, pkt.Dst))
@@ -469,6 +495,7 @@ func (n *Network) Inject(pkt *Packet) {
 	now := e.Now()
 	pkt.Injected = now
 	n.statsAt(shard).PacketsInjected++
+	//rvmalint:allow hotalloc -- packet tracing is opt-in; untraced runs never enter this block
 	if n.tracer != nil {
 		n.tracer.Count("fabric.packets_injected", 1)
 		n.tracer.Eventf(trace.CatPacket, "inject #%d %d->%d %dB", pkt.ID, pkt.Src, pkt.Dst, pkt.Size)
@@ -479,7 +506,8 @@ func (n *Network) Inject(pkt *Packet) {
 	pkt.QueueWait += txDone - now - ser
 	arrive := txDone + n.linkDelayFrom(rng)
 	sw, _ := n.topo.HostPort(pkt.Src)
-	n.sched(shard, n.nodeLocus(pkt.Src), n.switchShard(sw), arrive, func() { n.atSwitch(sw, pkt) })
+	pkt.hop = sw
+	n.sched(shard, n.nodeLocus(pkt.Src), n.switchShard(sw), arrive, pkt.Then(n.atSwitchFn))
 }
 
 // MaxQueueBacklog returns the largest backlog any switch output port
@@ -511,6 +539,8 @@ func (n *Network) linkDelayFrom(rng *sim.RNG) sim.Time {
 // atSwitch processes a packet's arrival at switch sw at the current time:
 // route selection, crossbar transit, output serialization, link traversal.
 // In sharded mode it executes on the switch's owning shard.
+//
+//rvmalint:hot
 func (n *Network) atSwitch(sw int, pkt *Packet) {
 	e, shard := n.swCtx(sw)
 	pkt.Hops++
@@ -535,10 +565,11 @@ func (n *Network) atSwitch(sw int, pkt *Packet) {
 
 	switch port.Kind {
 	case topology.HostPort:
-		n.sched(shard, n.switchLocus(sw), n.nodeShardOf(port.Node), arrive, func() { n.deliver(port.Node, pkt) })
+		pkt.hop = port.Node
+		n.sched(shard, n.switchLocus(sw), n.nodeShardOf(port.Node), arrive, pkt.Then(n.deliverFn))
 	case topology.SwitchPort:
-		peer := port.PeerSwitch
-		n.sched(shard, n.switchLocus(sw), n.switchShard(peer), arrive, func() { n.atSwitch(peer, pkt) })
+		pkt.hop = port.PeerSwitch
+		n.sched(shard, n.switchLocus(sw), n.switchShard(port.PeerSwitch), arrive, pkt.Then(n.atSwitchFn))
 	default:
 		panic(fmt.Sprintf("fabric: routed to unused port %d of switch %d", outPort, sw))
 	}
@@ -547,7 +578,9 @@ func (n *Network) atSwitch(sw int, pkt *Packet) {
 // selectPort applies the routing mode to the candidate set. e is the
 // engine executing switch sw and rng the stream routing draws come from.
 func (n *Network) selectPort(e *sim.Engine, shard int, rng *sim.RNG, sw int, pkt *Packet) int {
-	cands := n.topo.Candidates(sw, pkt.Dst, nil)
+	pool := &n.pools[shard]
+	cands := n.topo.Candidates(sw, pkt.Dst, pool.cands[:0])
+	pool.cands = cands
 	if len(cands) == 0 {
 		panic(fmt.Sprintf("fabric: no route from switch %d to node %d", sw, pkt.Dst))
 	}
@@ -556,7 +589,9 @@ func (n *Network) selectPort(e *sim.Engine, shard int, rng *sim.RNG, sw int, pkt
 		return cands[0]
 	case RouteValiant:
 		if !pkt.misrouted && n.nonMin != nil {
-			if nm := n.nonMin.NonMinimalCandidates(sw, pkt.Dst, nil); len(nm) > 0 {
+			nm := n.nonMin.NonMinimalCandidates(sw, pkt.Dst, pool.nonMin[:0])
+			pool.nonMin = nm
+			if len(nm) > 0 {
 				pkt.misrouted = true
 				n.statsAt(shard).ValiantDetours++
 				n.detoursAt(shard).Add(1)
@@ -574,7 +609,9 @@ func (n *Network) selectPort(e *sim.Engine, shard int, rng *sim.RNG, sw int, pkt
 			}
 			minBacklog := n.outPorts[sw][best].Backlog(e)
 			if minBacklog > bias {
-				if nm := n.nonMin.NonMinimalCandidates(sw, pkt.Dst, nil); len(nm) > 0 {
+				nm := n.nonMin.NonMinimalCandidates(sw, pkt.Dst, pool.nonMin[:0])
+				pool.nonMin = nm
+				if len(nm) > 0 {
 					alt := n.leastBacklogged(e, sw, nm)
 					// UGAL: detour when twice the non-minimal backlog still
 					// beats the minimal backlog.
@@ -583,6 +620,7 @@ func (n *Network) selectPort(e *sim.Engine, shard int, rng *sim.RNG, sw int, pkt
 						n.statsAt(shard).ValiantDetours++
 						n.detoursAt(shard).Add(1)
 						n.mTimeline.Instant(pkt.Src, "fabric", "detour", e.Now())
+						//rvmalint:allow hotalloc -- packet tracing is opt-in; untraced runs never enter this block
 						if n.tracer != nil {
 							n.tracer.Count("fabric.valiant_detours", 1)
 							n.tracer.Eventf(trace.CatPacket, "detour #%d at sw%d", pkt.ID, sw)
@@ -620,7 +658,11 @@ func (n *Network) leastBacklogged(e *sim.Engine, sw int, cands []int) int {
 // the fabric and still influences adaptive-routing backlogs exactly as a
 // delivered one; what changed from earlier builds is that the drop draw
 // comes from the dedicated fault stream, so loss sweeps no longer shift
-// the routing RNG and skew detour decisions for surviving packets.
+// the routing RNG and skew detour decisions for surviving packets. The
+// fabric frees a dropped packet itself; a delivered one belongs to the
+// host callback.
+//
+//rvmalint:hot
 func (n *Network) deliver(node int, pkt *Packet) {
 	e, shard := n.nodeCtx(node)
 	fn := n.hosts[node]
@@ -637,10 +679,12 @@ func (n *Network) deliver(node int, pkt *Packet) {
 		st.BytesDropped += uint64(pkt.Size)
 		n.dropsAt(shard).Add(1)
 		n.mTimeline.Instant(node, "fabric", "drop", e.Now())
+		//rvmalint:allow hotalloc -- packet tracing is opt-in; untraced runs never enter this block
 		if n.tracer != nil {
 			n.tracer.Count("fabric.packets_dropped", 1)
 			n.tracer.Eventf(trace.CatPacket, "DROP #%d for node %d", pkt.ID, node)
 		}
+		n.Free(pkt)
 		return
 	}
 	st.PacketsDelivered++
@@ -653,6 +697,7 @@ func (n *Network) deliver(node int, pkt *Packet) {
 	mm := n.metricsAt(shard)
 	mm.latency.ObserveTime(e.Now() - pkt.Injected)
 	mm.hops.Observe(float64(pkt.Hops))
+	//rvmalint:allow hotalloc -- packet tracing is opt-in; untraced runs never enter this block
 	if n.tracer != nil {
 		n.tracer.Count("fabric.packets_delivered", 1)
 		n.tracer.Add("fabric.delivered_bytes", float64(pkt.Size))

@@ -101,6 +101,7 @@ func NewSharded(g *sim.ShardGroup, topo topology.Topology, cfg Config, seed uint
 		n.hostTx[i] = sim.NewResource(fmt.Sprintf("host%d.tx", i))
 	}
 	n.nonMin, _ = topo.(topology.NonMinimalRouter)
+	n.bindPackets(g.Shards())
 
 	n.tags = make([]sim.Tagged, g.Shards())
 	for i := range n.tags {

@@ -89,7 +89,11 @@ func (p Profile) RegistrationTime(size int) sim.Time {
 }
 
 // Handler consumes a protocol packet payload on the receive side, after the
-// NIC receive pipeline has accounted its processing time.
+// NIC receive pipeline has accounted its processing time. The packet is
+// only valid until the handler returns: the NIC then frees it to the
+// fabric's pool, so a handler copies out the scalars it needs and keeps no
+// reference to the packet. The payload is the sender's per-message command
+// and must not be mutated.
 type Handler func(pkt *fabric.Packet)
 
 // NIC is one node's network interface: bus, pipelines and dispatch.
@@ -104,6 +108,11 @@ type NIC struct {
 	sendPipe *sim.Resource
 	recvPipe *sim.Resource
 	handler  Handler
+
+	// injectFn and dispatchFn are the packet steps this NIC schedules,
+	// bound once so the per-packet path allocates nothing.
+	injectFn   func(*fabric.Packet)
+	dispatchFn func(*fabric.Packet)
 
 	tracer *trace.Tracer
 
@@ -132,6 +141,8 @@ func New(eng *sim.Engine, net *fabric.Network, node int, busCfg pcie.Config, pro
 		sendPipe: sim.NewResource(fmt.Sprintf("nic%d.send", node)),
 		recvPipe: sim.NewResource(fmt.Sprintf("nic%d.recv", node)),
 	}
+	n.injectFn = net.Inject
+	n.dispatchFn = n.dispatch
 	net.AttachHost(node, n.deliver)
 	return n
 }
@@ -202,33 +213,50 @@ func (n *NIC) SetHandler(h Handler) {
 
 // deliver is the fabric callback: account receive-pipeline time, then hand
 // the packet to the protocol.
+//
+//rvmalint:hot
 func (n *NIC) deliver(pkt *fabric.Packet) {
 	n.PacketsReceived++
+	//rvmalint:allow hotalloc -- packet tracing is opt-in; untraced runs never enter this block
 	if n.tracer != nil {
 		n.tracer.Eventf(trace.CatNIC, "nic%d rx #%d from %d %dB", n.node, pkt.ID, pkt.Src, pkt.Size)
 	}
 	done := n.recvPipe.Acquire(n.eng.Engine, n.prof.RecvPacketProc+n.prof.LookupLatency)
-	n.eng.At(done, func() {
-		if n.handler == nil {
-			panic(fmt.Sprintf("nic: node %d received packet with no protocol handler", n.node))
-		}
-		n.handler(pkt)
-	})
+	n.eng.At(done, pkt.Then(n.dispatchFn))
 }
+
+// dispatch runs the protocol handler on a received packet, then frees the
+// packet: the handler's return ends its life.
+//
+//rvmalint:hot
+func (n *NIC) dispatch(pkt *fabric.Packet) {
+	if n.handler == nil {
+		panic(fmt.Sprintf("nic: node %d received packet with no protocol handler", n.node))
+	}
+	n.handler(pkt)
+	n.net.Free(pkt)
+}
+
+// noSent is the local-completion step of a message whose sender does not
+// wait for it.
+func noSent() {}
 
 // SendMessage segments a message of total payload bytes to dst and pushes
 // it through the send pipeline: one doorbell write, then per packet a
 // payload DMA read over the bus and NIC processing, then fabric injection.
-// build constructs each packet's protocol payload given its (offset, size)
-// within the message. The returned future completes when the last packet
-// has been handed to the fabric (local send completion); remote delivery
-// semantics belong to the protocols.
+// Every packet carries the same per-message payload plus its own Offset
+// and Size within the message; receivers slice per-packet data out of the
+// payload and must not mutate it. onSent (nil for none) runs when the last
+// packet has been handed to the fabric (local send completion); remote
+// delivery semantics belong to the protocols.
 //
 // The caller is responsible for modeling host software overhead
 // (Profile.HostPostOverhead) before invoking SendMessage; the protocols do
 // this so that zero-copy paths and doorbell batching can be modeled
 // distinctly later.
-func (n *NIC) SendMessage(dst, total int, build func(off, size int) any) *sim.Future {
+//
+//rvmalint:hot
+func (n *NIC) SendMessage(dst, total int, payload any, onSent func()) {
 	if total < 0 {
 		panic("nic: negative message size")
 	}
@@ -236,10 +264,10 @@ func (n *NIC) SendMessage(dst, total int, build func(off, size int) any) *sim.Fu
 	n.BytesSent += uint64(total)
 	n.mMsgs.Add(1)
 	n.mBytes.Add(uint64(total))
+	//rvmalint:allow hotalloc -- packet tracing is opt-in; untraced runs never enter this block
 	if n.tracer != nil {
 		n.tracer.Eventf(trace.CatNIC, "nic%d tx msg dst=%d %dB", n.node, dst, total)
 	}
-	f := sim.NewFuture()
 
 	// Doorbell: a small MMIO write crossing the bus.
 	doorbellDone := n.bus.TransferTime(n.eng.Engine, n.prof.DoorbellBytes)
@@ -259,10 +287,11 @@ func (n *NIC) SendMessage(dst, total int, build func(off, size int) any) *sim.Fu
 			dmaDone = doorbellDone
 		}
 		procDone := n.sendPipe.AcquireAt(dmaDone, n.prof.SendPacketProc)
-		pkt := &fabric.Packet{Src: n.node, Dst: dst, Size: size, Payload: build(off, size)}
+		pkt := n.net.NewPacket(n.node)
+		pkt.Dst, pkt.Size, pkt.Offset, pkt.Payload = dst, size, off, payload
 		n.PacketsSent++
 		n.mPkts.Add(1)
-		n.eng.At(procDone, func() { n.net.Inject(pkt) })
+		n.eng.At(procDone, pkt.Then(n.injectFn))
 		if procDone > last {
 			last = procDone
 		}
@@ -271,24 +300,32 @@ func (n *NIC) SendMessage(dst, total int, build func(off, size int) any) *sim.Fu
 			break
 		}
 	}
-	n.eng.At(last, func() { f.Complete(n.eng.Engine, nil) })
-	return f
+	// The completion event is scheduled even with no onSent, so the event
+	// stream does not depend on whether the sender waits.
+	if onSent == nil {
+		onSent = noSent
+	}
+	n.eng.At(last, onSent)
 }
 
 // InjectControl sends a NIC-generated control packet (transport ACK, NACK)
 // to dst. Control packets are fabricated by the NIC itself: they pay
 // send-pipeline processing but never cross the host bus, unlike
 // host-posted messages.
+//
+//rvmalint:hot
 func (n *NIC) InjectControl(dst int, payload any) {
 	n.PacketsSent++
 	n.mPkts.Add(1)
 	n.mCtrlPkts.Add(1)
+	//rvmalint:allow hotalloc -- packet tracing is opt-in; untraced runs never enter this block
 	if n.tracer != nil {
 		n.tracer.Eventf(trace.CatNIC, "nic%d ctrl dst=%d", n.node, dst)
 	}
 	done := n.sendPipe.Acquire(n.eng.Engine, n.prof.SendPacketProc)
-	pkt := &fabric.Packet{Src: n.node, Dst: dst, Size: 0, Payload: payload}
-	n.eng.At(done, func() { n.net.Inject(pkt) })
+	pkt := n.net.NewPacket(n.node)
+	pkt.Dst, pkt.Payload = dst, payload
+	n.eng.At(done, pkt.Then(n.injectFn))
 }
 
 // MsgKey identifies an in-flight message for reassembly: source node plus
@@ -304,7 +341,7 @@ type MsgKey struct {
 // resequencing; RVMA's EPOCH_OPS counting needs it to count an operation
 // exactly once.
 type Assembler struct {
-	inflight map[MsgKey]*asmState
+	inflight map[MsgKey]asmState
 }
 
 type asmState struct {
@@ -314,7 +351,7 @@ type asmState struct {
 
 // NewAssembler returns an empty assembler.
 func NewAssembler() *Assembler {
-	return &Assembler{inflight: make(map[MsgKey]*asmState)}
+	return &Assembler{inflight: make(map[MsgKey]asmState)}
 }
 
 // Add records size arrived bytes for message key with the given total
@@ -327,7 +364,7 @@ func (a *Assembler) Add(key MsgKey, size, total int) bool {
 		if size >= total {
 			return true
 		}
-		a.inflight[key] = &asmState{received: size, total: total}
+		a.inflight[key] = asmState{received: size, total: total}
 		return false
 	}
 	st.received += size
@@ -335,6 +372,7 @@ func (a *Assembler) Add(key MsgKey, size, total int) bool {
 		delete(a.inflight, key)
 		return true
 	}
+	a.inflight[key] = st
 	return false
 }
 

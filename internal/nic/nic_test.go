@@ -32,12 +32,14 @@ func TestSendMessageSegmentation(t *testing.T) {
 	a.SetHandler(func(pkt *fabric.Packet) {})
 	var got []recorded
 	b.SetHandler(func(pkt *fabric.Packet) {
-		meta := pkt.Payload.([2]int)
-		got = append(got, recorded{meta[0], meta[1], eng.Now()})
+		if pkt.Payload != "msg" {
+			t.Errorf("packet at offset %d carries payload %v, want the message's", pkt.Offset, pkt.Payload)
+		}
+		got = append(got, recorded{pkt.Offset, pkt.Size, eng.Now()})
 	})
 	const total = 5000 // MTU 2048 -> packets of 2048, 2048, 904
 	eng.Schedule(0, func() {
-		a.SendMessage(1, total, func(off, size int) any { return [2]int{off, size} })
+		a.SendMessage(1, total, "msg", nil)
 	})
 	eng.Run()
 	if len(got) != 3 {
@@ -48,6 +50,9 @@ func TestSendMessageSegmentation(t *testing.T) {
 	for i, r := range got {
 		if r.size != wantSizes[i] {
 			t.Fatalf("packet %d size = %d, want %d", i, r.size, wantSizes[i])
+		}
+		if r.off != sum {
+			t.Fatalf("packet %d offset = %d, want %d", i, r.off, sum)
 		}
 		sum += r.size
 	}
@@ -65,7 +70,7 @@ func TestZeroByteMessage(t *testing.T) {
 	count := 0
 	b.SetHandler(func(pkt *fabric.Packet) { count++ })
 	eng.Schedule(0, func() {
-		a.SendMessage(1, 0, func(off, size int) any { return nil })
+		a.SendMessage(1, 0, nil, nil)
 	})
 	eng.Run()
 	if count != 1 {
@@ -80,8 +85,7 @@ func TestLocalCompletionAfterLastInjection(t *testing.T) {
 	b.SetHandler(func(pkt *fabric.Packet) { lastRecv = eng.Now() })
 	var localDone sim.Time
 	eng.Schedule(0, func() {
-		f := a.SendMessage(1, 8192, func(off, size int) any { return nil })
-		f.OnComplete(func() { localDone = eng.Now() })
+		a.SendMessage(1, 8192, nil, func() { localDone = eng.Now() })
 	})
 	eng.Run()
 	if localDone == 0 {
@@ -102,7 +106,7 @@ func TestRecvPipelineSerializes(t *testing.T) {
 		// per-packet processing must keep handler invocations apart by at
 		// least its processing time when arrivals are tighter than that.
 		for i := 0; i < 5; i++ {
-			a.SendMessage(1, 1, func(off, size int) any { return nil })
+			a.SendMessage(1, 1, nil, nil)
 		}
 	})
 	eng.Run()
@@ -229,7 +233,7 @@ func TestSendThroughputRespectsLineRate(t *testing.T) {
 	})
 	const total = 1 << 20
 	eng.Schedule(0, func() {
-		a.SendMessage(1, total, func(off, size int) any { return nil })
+		a.SendMessage(1, total, nil, nil)
 	})
 	eng.Run()
 	if bytes != total {

@@ -34,9 +34,7 @@ func (ep *Endpoint) RequestRemoteBuffer(dst, size int) *RegOp {
 		op.Done.OnComplete(func() { ep.mHandshake.ObserveTime(eng.Now() - start) })
 	}
 	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
-		ep.nic.SendMessage(dst, 0, func(off, n int) any {
-			return &command{op: opRegRequest, msgID: msgID, size: size}
-		})
+		ep.nic.SendMessage(dst, 0, &command{op: opRegRequest, msgID: msgID, size: size}, nil)
 	})
 	return op
 }
@@ -78,36 +76,27 @@ func (ep *Endpoint) put(rb RemoteBuffer, offset, size int, data []byte, scheme C
 		sp.Stage(eng.Now(), "host_post")
 		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
 		wantAck := scheme == CompleteSendRecv && !ep.cfg.PipelinedFence
-		dataF := ep.nic.SendMessage(rb.Node, size, func(off, n int) any {
-			var chunk []byte
-			if data != nil && ep.cfg.CarryData {
-				chunk = data[off : off+n]
-			}
-			return &command{
-				op:        opPutData,
-				msgID:     msgID,
-				rkey:      rb.RKey,
-				msgOffset: offset,
-				pktOffset: off,
-				total:     size,
-				data:      chunk,
-				wantAck:   wantAck,
+		cmd := &command{op: opPutData, msgID: msgID, rkey: rb.RKey, msgOffset: offset, total: size, wantAck: wantAck}
+		if ep.cfg.CarryData {
+			cmd.data = data
+		}
+		ep.nic.SendMessage(rb.Node, size, cmd, func() {
+			sp.StageWait(eng.Now(), "nic_tx", txWait)
+			if scheme != CompleteSendRecv {
+				op.Local.Complete(eng.Engine, nil)
 			}
 		})
 		ep.sentBytes[rb.Node] += uint64(size)
-		dataF.OnComplete(func() { sp.StageWait(eng.Now(), "nic_tx", txWait) })
 		if scheme != CompleteSendRecv {
-			dataF.OnComplete(func() { op.Local.Complete(eng.Engine, nil) })
 			return
 		}
 		fence := ep.sentBytes[rb.Node]
 		postFenceSend := func() {
 			sendID := ep.nextMsgID
 			ep.nextMsgID++
-			sendF := ep.nic.SendMessage(rb.Node, 1, func(off, n int) any {
-				return &command{op: opSend, msgID: sendID, qp: FenceQP, total: 1, fenceBytes: fence}
+			ep.nic.SendMessage(rb.Node, 1, &command{op: opSend, msgID: sendID, qp: FenceQP, total: 1, fenceBytes: fence}, func() {
+				op.Local.Complete(eng.Engine, nil)
 			})
-			sendF.OnComplete(func() { op.Local.Complete(eng.Engine, nil) })
 		}
 		if ep.cfg.PipelinedFence {
 			// Aggressive runtime: post the send right behind the data (one
@@ -150,19 +139,17 @@ func (ep *Endpoint) PutWithImmediate(rb RemoteBuffer, offset int, data []byte) (
 		if ep.cfg.CarryData {
 			chunk = data
 		}
-		f := ep.nic.SendMessage(rb.Node, size, func(off, n int) any {
-			return &command{
-				op:        opPutData,
-				msgID:     msgID,
-				rkey:      rb.RKey,
-				msgOffset: offset,
-				total:     size,
-				data:      chunk,
-				imm:       &immediateInfo{rkey: rb.RKey},
-			}
-		})
+		cmd := &command{
+			op:        opPutData,
+			msgID:     msgID,
+			rkey:      rb.RKey,
+			msgOffset: offset,
+			total:     size,
+			data:      chunk,
+			imm:       &immediateInfo{rkey: rb.RKey},
+		}
+		ep.nic.SendMessage(rb.Node, size, cmd, func() { op.Local.Complete(eng.Engine, nil) })
 		ep.sentBytes[rb.Node] += uint64(size)
-		f.OnComplete(func() { op.Local.Complete(eng.Engine, nil) })
 	})
 	return op, nil
 }
@@ -187,10 +174,9 @@ func (ep *Endpoint) Send(dst, qp, size int) *SendOp {
 		if qp == FenceQP {
 			fence = ep.sentBytes[dst]
 		}
-		f := ep.nic.SendMessage(dst, size, func(off, n int) any {
-			return &command{op: opSend, msgID: msgID, qp: qp, pktOffset: off, total: size, fenceBytes: fence}
+		ep.nic.SendMessage(dst, size, &command{op: opSend, msgID: msgID, qp: qp, total: size, fenceBytes: fence}, func() {
+			op.Local.Complete(eng.Engine, nil)
 		})
-		f.OnComplete(func() { op.Local.Complete(eng.Engine, nil) })
 	})
 	return op
 }
@@ -288,9 +274,7 @@ func (ep *Endpoint) Read(rb RemoteBuffer, offset, size int) *ReadOp {
 	ep.pendingReads[msgID] = op
 	eng := ep.eng
 	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
-		ep.nic.SendMessage(rb.Node, 0, func(off, n int) any {
-			return &command{op: opReadReq, msgID: msgID, rkey: rb.RKey, msgOffset: offset, size: size}
-		})
+		ep.nic.SendMessage(rb.Node, 0, &command{op: opReadReq, msgID: msgID, rkey: rb.RKey, msgOffset: offset, size: size}, nil)
 	})
 	return op
 }

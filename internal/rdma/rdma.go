@@ -337,7 +337,9 @@ const (
 	opReadReply
 )
 
-// command is the wire payload.
+// command is the wire payload: one per message, shared by all of its
+// packets, each of which carries its own offset within the message
+// (fabric.Packet.Offset). Receivers only read it.
 type command struct {
 	op    opcode
 	msgID uint64
@@ -349,9 +351,8 @@ type command struct {
 	// put
 	rkey      uint32
 	msgOffset int
-	pktOffset int
 	total     int
-	data      []byte
+	data      []byte // the whole message's payload (nil when !CarryData)
 	// wantAck asks the target NIC to emit a transport acknowledgment when
 	// the whole message has landed (RC write completion semantics).
 	wantAck bool

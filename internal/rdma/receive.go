@@ -58,9 +58,7 @@ func (ep *Endpoint) handleRegRequest(pkt *fabric.Packet, cmd *command) {
 	f.OnComplete(func() {
 		mr := f.Value().(*MemoryRegion)
 		rb := RemoteBuffer{Node: ep.Node(), RKey: mr.RKey, Addr: mr.Region.Base, Size: mr.Region.Size()}
-		ep.nic.SendMessage(src, 0, func(off, n int) any {
-			return &command{op: opRegReply, msgID: msgID, rb: rb}
-		})
+		ep.nic.SendMessage(src, 0, &command{op: opRegReply, msgID: msgID, rb: rb}, nil)
 	})
 }
 
@@ -88,7 +86,7 @@ func (ep *Endpoint) handlePutData(pkt *fabric.Packet, cmd *command) {
 		ep.mDrops.Add(1)
 		return
 	}
-	place := cmd.msgOffset + cmd.pktOffset
+	place := cmd.msgOffset + pkt.Offset
 	if place+pkt.Size > mr.Region.Size() {
 		ep.Stats.Drops++
 		ep.mDrops.Add(1)
@@ -105,7 +103,7 @@ func (ep *Endpoint) handlePutData(pkt *fabric.Packet, cmd *command) {
 	// data still has holes.
 	var relDone bool
 	if cmd.reliable {
-		_, done, dup := ep.relAsm.Add(key, cmd.pktOffset, size, cmd.total)
+		_, done, dup := ep.relAsm.Add(key, pkt.Offset, size, cmd.total)
 		if dup {
 			ep.Stats.DupPackets++
 			if ep.relAsm.Done(key) {
@@ -122,7 +120,7 @@ func (ep *Endpoint) handlePutData(pkt *fabric.Packet, cmd *command) {
 	busWait := ep.nic.Bus().Backlog(eng.Engine)
 	dmaDone := ep.nic.Bus().TransferTime(eng.Engine, size)
 	if ep.cfg.CarryData && cmd.data != nil {
-		data := cmd.data
+		data := cmd.data[pkt.Offset : pkt.Offset+size]
 		base := mr.Region.Base + memory.Addr(place)
 		eng.At(dmaDone, func() { ep.Memory().Write(base, data) })
 	}
@@ -216,7 +214,7 @@ func (ep *Endpoint) handleSend(pkt *fabric.Packet, cmd *command) {
 	if cmd.reliable {
 		// Reliable sends dedup by offset and ack on full reassembly; a
 		// duplicate completion must not enqueue the send a second time.
-		_, done, dup := ep.relAsm.Add(key, cmd.pktOffset, pkt.Size, cmd.total)
+		_, done, dup := ep.relAsm.Add(key, pkt.Offset, pkt.Size, cmd.total)
 		if dup {
 			ep.Stats.DupPackets++
 			if ep.relAsm.Done(key) {
@@ -306,13 +304,7 @@ func (ep *Endpoint) handleReadReq(pkt *fabric.Packet, cmd *command) {
 	msgID := cmd.msgID
 	size := cmd.size
 	eng.At(readDone, func() {
-		ep.nic.SendMessage(src, size, func(off, n int) any {
-			var chunk []byte
-			if data != nil {
-				chunk = data[off : off+n]
-			}
-			return &command{op: opReadReply, msgID: msgID, pktOffset: off, total: size, data: chunk}
-		})
+		ep.nic.SendMessage(src, size, &command{op: opReadReply, msgID: msgID, total: size, data: data}, nil)
 	})
 }
 
@@ -328,7 +320,7 @@ func (ep *Endpoint) handleReadReply(pkt *fabric.Packet, cmd *command) {
 			buf = make([]byte, cmd.total)
 			ep.readBuf[cmd.msgID] = buf
 		}
-		copy(buf[cmd.pktOffset:], cmd.data)
+		copy(buf[pkt.Offset:], cmd.data[pkt.Offset:pkt.Offset+pkt.Size])
 	}
 	if ep.readAsm.Add(nic.MsgKey{Src: pkt.Src, MsgID: cmd.msgID}, pkt.Size, cmd.total) {
 		eng := ep.eng

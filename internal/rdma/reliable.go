@@ -94,19 +94,16 @@ func (ep *Endpoint) sendPutAttempt(rp *ReliablePut, sp *metrics.Span) *Attempt {
 	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
 		sp.Stage(eng.Now(), "host_post")
 		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
-		f := ep.nic.SendMessage(rp.rb.Node, rp.size, func(off, n int) any {
-			return &command{
-				op:        opPutData,
-				msgID:     rp.msgID,
-				rkey:      rp.rb.RKey,
-				msgOffset: rp.offset,
-				pktOffset: off,
-				total:     rp.size,
-				wantAck:   true,
-				reliable:  true,
-			}
-		})
-		f.OnComplete(func() {
+		cmd := &command{
+			op:        opPutData,
+			msgID:     rp.msgID,
+			rkey:      rp.rb.RKey,
+			msgOffset: rp.offset,
+			total:     rp.size,
+			wantAck:   true,
+			reliable:  true,
+		}
+		ep.nic.SendMessage(rp.rb.Node, rp.size, cmd, func() {
 			sp.StageWait(eng.Now(), "nic_tx", txWait)
 			at.Local.Complete(eng.Engine, nil)
 		})
@@ -159,18 +156,15 @@ func (ep *Endpoint) sendSendAttempt(rs *ReliableSend) *Attempt {
 	rs.attempt = at
 	eng := ep.eng
 	eng.Schedule(ep.nic.Profile().HostPostOverhead, func() {
-		f := ep.nic.SendMessage(rs.dst, rs.size, func(off, n int) any {
-			return &command{
-				op:         opSend,
-				msgID:      rs.msgID,
-				qp:         rs.qp,
-				pktOffset:  off,
-				total:      rs.size,
-				fenceBytes: rs.fence,
-				reliable:   true,
-			}
-		})
-		f.OnComplete(func() { at.Local.Complete(eng.Engine, nil) })
+		cmd := &command{
+			op:         opSend,
+			msgID:      rs.msgID,
+			qp:         rs.qp,
+			total:      rs.size,
+			fenceBytes: rs.fence,
+			reliable:   true,
+		}
+		ep.nic.SendMessage(rs.dst, rs.size, cmd, func() { at.Local.Complete(eng.Engine, nil) })
 	})
 	return at
 }

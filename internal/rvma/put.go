@@ -57,22 +57,11 @@ func (ep *Endpoint) put(dst int, vaddr VAddr, offset, size int, data []byte) *Pu
 		// NIC queue depth at post time: the part of the nic_tx stage the
 		// message spends behind earlier sends rather than being pipelined.
 		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
-		f := ep.nic.SendMessage(dst, size, func(off, n int) any {
-			var chunk []byte
-			if data != nil && ep.cfg.CarryData {
-				chunk = data[off : off+n]
-			}
-			return &command{
-				op:        opPut,
-				msgID:     op.msgID,
-				vaddr:     vaddr,
-				msgOffset: offset,
-				pktOffset: off,
-				total:     size,
-				data:      chunk,
-			}
-		})
-		f.OnComplete(func() {
+		cmd := &command{op: opPut, msgID: op.msgID, vaddr: vaddr, msgOffset: offset, total: size}
+		if ep.cfg.CarryData {
+			cmd.data = data
+		}
+		ep.nic.SendMessage(dst, size, cmd, func() {
 			sp.StageWait(eng.Now(), "nic_tx", txWait)
 			op.Local.Complete(eng.Engine, nil)
 		})
@@ -165,18 +154,15 @@ func (ep *Endpoint) sendAttempt(rp *ReliablePut, sp *metrics.Span) *PutAttempt {
 	eng.Schedule(post, func() {
 		sp.Stage(eng.Now(), "host_post")
 		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
-		f := ep.nic.SendMessage(rp.dst, rp.size, func(off, n int) any {
-			return &command{
-				op:        opPut,
-				msgID:     rp.msgID,
-				vaddr:     rp.vaddr,
-				msgOffset: rp.offset,
-				pktOffset: off,
-				total:     rp.size,
-				wantAck:   true,
-			}
-		})
-		f.OnComplete(func() {
+		cmd := &command{
+			op:        opPut,
+			msgID:     rp.msgID,
+			vaddr:     rp.vaddr,
+			msgOffset: rp.offset,
+			total:     rp.size,
+			wantAck:   true,
+		}
+		ep.nic.SendMessage(rp.dst, rp.size, cmd, func() {
 			sp.StageWait(eng.Now(), "nic_tx", txWait)
 			at.Local.Complete(eng.Engine, nil)
 		})
@@ -211,15 +197,13 @@ func (ep *Endpoint) Get(dst int, vaddr VAddr, offset, length int) *GetOp {
 	eng := ep.eng
 	post := ep.nic.Profile().HostPostOverhead
 	eng.Schedule(post, func() {
-		ep.nic.SendMessage(dst, 0, func(off, n int) any {
-			return &command{
-				op:        opGetReq,
-				msgID:     op.getID,
-				vaddr:     vaddr,
-				msgOffset: offset,
-				length:    length,
-			}
-		})
+		ep.nic.SendMessage(dst, 0, &command{
+			op:        opGetReq,
+			msgID:     op.getID,
+			vaddr:     vaddr,
+			msgOffset: offset,
+			length:    length,
+		}, nil)
 	})
 	return op
 }

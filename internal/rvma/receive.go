@@ -82,14 +82,14 @@ func (ep *Endpoint) handlePut(pkt *fabric.Packet, cmd *command) {
 		if w.mode != Steered {
 			panic("rvma: reliable put into a managed window (retransmit dedup needs offset placement)")
 		}
-		if cmd.msgOffset+cmd.pktOffset+size > buf.Region.Size() {
+		if cmd.msgOffset+pkt.Offset+size > buf.Region.Size() {
 			if sim.DebugEnabled {
 				ep.dbg.putBytesDropped += uint64(size)
 			}
 			ep.reject(pkt.Src, cmd, ErrNoBuffer)
 			return
 		}
-		_, done, dup := ep.relAsm.Add(key, cmd.pktOffset, size, cmd.total)
+		_, done, dup := ep.relAsm.Add(key, pkt.Offset, size, cmd.total)
 		if dup {
 			if sim.DebugEnabled {
 				ep.dbg.putBytesDuplicate += uint64(size)
@@ -118,7 +118,7 @@ func (ep *Endpoint) handlePut(pkt *fabric.Packet, cmd *command) {
 
 	switch w.mode {
 	case Steered:
-		place := cmd.msgOffset + cmd.pktOffset
+		place := cmd.msgOffset + pkt.Offset
 		if place+size > buf.Region.Size() {
 			if sim.DebugEnabled {
 				ep.dbg.putBytesDropped += uint64(size)
@@ -130,7 +130,7 @@ func (ep *Endpoint) handlePut(pkt *fabric.Packet, cmd *command) {
 			ep.dbg.putBytesPlaced += uint64(size)
 		}
 		if ep.cfg.CarryData && cmd.data != nil {
-			data := cmd.data
+			data := cmd.data[pkt.Offset : pkt.Offset+size]
 			base := buf.Region.Base + memory.Addr(place)
 			eng.At(dmaDone, func() { ep.Memory().Write(base, data) })
 		}
@@ -148,7 +148,7 @@ func (ep *Endpoint) handlePut(pkt *fabric.Packet, cmd *command) {
 		// semantics. Completions rotate buffers mid-packet as thresholds
 		// are crossed.
 		remaining := size
-		dataOff := 0
+		dataOff := pkt.Offset // offset of the unplaced rest within the message
 		for remaining > 0 {
 			head := w.Head()
 			if head == nil {
@@ -247,9 +247,7 @@ func (ep *Endpoint) reject(src int, cmd *command, reason error) {
 	ep.mNacks.Add(1)
 	msgID := cmd.msgID
 	op := cmd.op
-	ep.nic.SendMessage(src, 0, func(off, n int) any {
-		return &command{op: opNack, msgID: msgID, status: reason, length: int(op)}
-	})
+	ep.nic.SendMessage(src, 0, &command{op: opNack, msgID: msgID, status: reason, length: int(op)}, nil)
 }
 
 // sendAck emits the NIC-generated placement ack for a reliable put. Like
@@ -330,19 +328,7 @@ func (ep *Endpoint) handleGetReq(pkt *fabric.Packet, cmd *command) {
 	getID := cmd.msgID
 	length := cmd.length
 	eng.At(readDone, func() {
-		ep.nic.SendMessage(src, length, func(off, n int) any {
-			var chunk []byte
-			if data != nil {
-				chunk = data[off : off+n]
-			}
-			return &command{
-				op:        opGetReply,
-				msgID:     getID,
-				pktOffset: off,
-				total:     length,
-				data:      chunk,
-			}
-		})
+		ep.nic.SendMessage(src, length, &command{op: opGetReply, msgID: getID, total: length, data: data}, nil)
 	})
 }
 
@@ -358,7 +344,7 @@ func (ep *Endpoint) handleGetReply(pkt *fabric.Packet, cmd *command) {
 			buf = make([]byte, cmd.total)
 			ep.getBuf[cmd.msgID] = buf
 		}
-		copy(buf[cmd.pktOffset:], cmd.data)
+		copy(buf[pkt.Offset:], cmd.data[pkt.Offset:pkt.Offset+pkt.Size])
 	}
 	if ep.getAsm.Add(nic.MsgKey{Src: pkt.Src, MsgID: cmd.msgID}, pkt.Size, cmd.total) ||
 		(cmd.total == 0) {

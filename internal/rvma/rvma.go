@@ -348,15 +348,16 @@ const (
 	opAck
 )
 
-// command is the protocol payload carried in fabric packets.
+// command is the protocol payload carried in fabric packets: one per
+// message, shared by all of its packets, each of which carries its own
+// offset within the message (fabric.Packet.Offset). Receivers only read it.
 type command struct {
 	op        opcode
 	msgID     uint64
 	vaddr     VAddr
 	msgOffset int    // user offset of the whole message within the buffer
-	pktOffset int    // offset of this packet's payload within the message
 	total     int    // total message payload bytes
-	data      []byte // this packet's payload bytes (nil when !CarryData)
+	data      []byte // the whole message's payload bytes (nil when !CarryData)
 	wantAck   bool   // reliable put: target acks full placement (opAck)
 
 	// get fields
