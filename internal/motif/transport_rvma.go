@@ -103,7 +103,9 @@ func (t *rvmaTransport) Prepare(inPeers, outPeers []int, maxMsg int) *sim.Future
 			}
 			if len(box.waiters) > 0 {
 				w := box.waiters[0]
-				box.waiters = box.waiters[1:]
+				n := copy(box.waiters, box.waiters[1:])
+				box.waiters[n] = nil
+				box.waiters = box.waiters[:n]
 				w.Complete(t.ep.Engine(), nil)
 			} else {
 				box.available++

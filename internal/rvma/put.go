@@ -7,7 +7,11 @@ import (
 	"rvma/internal/sim"
 )
 
-// PutOp tracks one initiated put.
+// PutOp tracks one initiated put. It is the put's only host-side state:
+// the futures and the wire command live inside it, and the endpoint keeps
+// no registry of unacknowledged puts, so a PutOp is garbage as soon as its
+// caller and its in-flight packets drop it. A NACK finds its operation
+// through the command it echoes (command.put), not through a lookup.
 type PutOp struct {
 	// Local completes when the initiating NIC has handed the last packet
 	// to the fabric (the local buffer is reusable).
@@ -19,7 +23,8 @@ type PutOp struct {
 	// path.
 	Nack *sim.Future
 
-	msgID uint64
+	local, nack sim.Future // what Local and Nack point at
+	cmd         command    // the message's wire payload, shared by its packets
 }
 
 // Put initiates a transfer of data to mailbox vaddr on node dst, placing
@@ -45,23 +50,23 @@ func (ep *Endpoint) put(dst int, vaddr VAddr, offset, size int, data []byte) *Pu
 		panic(fmt.Sprintf("rvma: put with negative size %d or offset %d", size, offset))
 	}
 	ep.Stats.PutsInitiated++
-	op := &PutOp{Local: sim.NewFuture(), Nack: sim.NewFuture(), msgID: ep.nextMsgID}
+	op := &PutOp{}
+	op.Local, op.Nack = &op.local, &op.nack
+	op.cmd = command{op: opPut, msgID: ep.nextMsgID, vaddr: vaddr, msgOffset: offset, total: size, put: op}
+	if ep.cfg.CarryData {
+		op.cmd.data = data
+	}
 	ep.nextMsgID++
-	ep.pendingPuts[op.msgID] = op
 
 	eng := ep.eng
-	sp := ep.reg.BeginSpan(eng.Now(), metrics.SpanKey{Node: ep.Node(), ID: op.msgID}, "rvma.put", ep.Node())
+	sp := ep.reg.BeginSpan(eng.Now(), metrics.SpanKey{Node: ep.Node(), ID: op.cmd.msgID}, "rvma.put", ep.Node())
 	post := ep.nic.Profile().HostPostOverhead
 	eng.Schedule(post, func() {
 		sp.Stage(eng.Now(), "host_post")
 		// NIC queue depth at post time: the part of the nic_tx stage the
 		// message spends behind earlier sends rather than being pipelined.
 		txWait := ep.nic.SendBacklog() + ep.nic.DMABacklog()
-		cmd := &command{op: opPut, msgID: op.msgID, vaddr: vaddr, msgOffset: offset, total: size}
-		if ep.cfg.CarryData {
-			cmd.data = data
-		}
-		ep.nic.SendMessage(dst, size, cmd, func() {
+		ep.nic.SendMessage(dst, size, &op.cmd, func() {
 			sp.StageWait(eng.Now(), "nic_tx", txWait)
 			op.Local.Complete(eng.Engine, nil)
 		})

@@ -245,9 +245,7 @@ func (ep *Endpoint) reject(src int, cmd *command, reason error) {
 	}
 	ep.Stats.Nacks++
 	ep.mNacks.Add(1)
-	msgID := cmd.msgID
-	op := cmd.op
-	ep.nic.SendMessage(src, 0, &command{op: opNack, msgID: msgID, status: reason, length: int(op)}, nil)
+	ep.nic.SendMessage(src, 0, &command{op: opNack, msgID: cmd.msgID, status: reason, length: int(cmd.op), put: cmd.put}, nil)
 }
 
 // sendAck emits the NIC-generated placement ack for a reliable put. Like
@@ -295,8 +293,9 @@ func (ep *Endpoint) handleNack(cmd *command) {
 		}
 		return
 	}
-	if op, ok := ep.pendingPuts[cmd.msgID]; ok {
-		delete(ep.pendingPuts, cmd.msgID)
+	// An unacknowledged put: every rejected packet of a multi-packet put
+	// draws a NACK, and the first one resolves the operation.
+	if op := cmd.put; op != nil && !op.Nack.Done() {
 		// A NACKed put never completes at the target; close its span here.
 		ep.reg.Span(metrics.SpanKey{Node: ep.Node(), ID: cmd.msgID}).EndNacked(eng.Now())
 		op.Nack.Complete(eng.Engine, cmd.status)

@@ -185,7 +185,6 @@ type Endpoint struct {
 	asm       *nic.Assembler // op counting for EPOCH_OPS and managed mode
 	nextMsgID uint64
 
-	pendingPuts map[uint64]*PutOp       // msgID -> op, for NACK correlation
 	pendingGets map[uint64]*GetOp       // getID -> op
 	pendingRel  map[uint64]*ReliablePut // msgID -> reliable put awaiting ack
 	relAsm      *nic.RangeAssembler     // duplicate-aware reassembly of wantAck puts
@@ -224,7 +223,6 @@ func NewEndpoint(n *nic.NIC, cfg Config) *Endpoint {
 		cfg:         cfg,
 		lut:         make(map[VAddr]*Window),
 		asm:         nic.NewAssembler(),
-		pendingPuts: make(map[uint64]*PutOp),
 		pendingGets: make(map[uint64]*GetOp),
 		pendingRel:  make(map[uint64]*ReliablePut),
 		relAsm:      nic.NewRangeAssembler(),
@@ -359,6 +357,12 @@ type command struct {
 	total     int    // total message payload bytes
 	data      []byte // the whole message's payload bytes (nil when !CarryData)
 	wantAck   bool   // reliable put: target acks full placement (opAck)
+
+	// put is the initiator's operation, set on an unacknowledged put and
+	// echoed on its NACKs. Inside one simulation the pointer stands in for
+	// the wire-level msgID lookup a NIC would do, without an initiator
+	// registry that outlives the put.
+	put *PutOp
 
 	// get fields
 	length int

@@ -384,16 +384,22 @@ func (w *Window) completeHead() *Buffer {
 			"rvma node %d win %#x completing epoch %d at or below rewound epoch %d",
 			ep.Node(), w.vaddr, buf.Epoch, w.maxRewound)
 	}
-	w.queue = w.queue[1:]
+	// Both queues shift down in place: reslicing from the front and then
+	// appending would reallocate the backing array every few epochs.
+	n := copy(w.queue, w.queue[1:])
+	w.queue[n] = nil
+	w.queue = w.queue[:n]
 	w.epoch++
 	ep.Stats.Completions++
 	ep.mCompletions.Add(1)
 
 	// Retire into bounded history for Rewind.
-	if ep.cfg.HistoryDepth > 0 {
-		w.history = append(w.history, buf)
-		if len(w.history) > ep.cfg.HistoryDepth {
-			w.history = w.history[1:]
+	if depth := ep.cfg.HistoryDepth; depth > 0 {
+		if len(w.history) < depth {
+			w.history = append(w.history, buf)
+		} else {
+			copy(w.history, w.history[1:])
+			w.history[depth-1] = buf
 		}
 	}
 

@@ -131,7 +131,8 @@ func BenchmarkEngineObserverOverhead(b *testing.B) {
 }
 
 // BenchmarkProcessContextSwitch measures the cooperative handoff cost of
-// the process API (one Sleep per iteration).
+// the process API (one Sleep per iteration). Steady state is 0 allocs/op:
+// Sleep schedules the process's bound resume func, not a new closure.
 func BenchmarkProcessContextSwitch(b *testing.B) {
 	e := NewEngine(1)
 	e.Spawn("bench", func(p *Process) {
@@ -139,6 +140,7 @@ func BenchmarkProcessContextSwitch(b *testing.B) {
 			p.Sleep(Nanosecond)
 		}
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
 }

@@ -23,8 +23,12 @@ type Process struct {
 	label Label                   // stamped on spawn/Sleep/resume events (Tagged.Spawn)
 	next  func() (struct{}, bool) // engine -> process: run until the next park
 	yield func(struct{}) bool     // process -> engine: park
-	done  bool
-	err   any // panic value captured from the body, re-raised on the engine
+	// wake is p.resume bound once at spawn: every spawn, Sleep and Wait
+	// schedules or registers this one func value instead of a fresh
+	// closure, so a process switch allocates nothing.
+	wake func()
+	done bool
+	err  any // panic value captured from the body, re-raised on the engine
 }
 
 // Spawn starts a new process executing body at the current simulated time.
@@ -36,6 +40,7 @@ func (e *Engine) Spawn(name string, body func(p *Process)) *Process {
 
 func (e *Engine) spawn(name string, label Label, body func(p *Process)) *Process {
 	p := &Process{eng: e, name: name, label: label}
+	p.wake = p.resume
 	e.procs++
 	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 		p.yield = yield
@@ -46,7 +51,7 @@ func (e *Engine) spawn(name string, label Label, body func(p *Process)) *Process
 		}()
 		body(p)
 	})
-	e.schedule(0, 0, label, func() { p.resume() })
+	e.schedule(0, 0, label, p.wake)
 	return p
 }
 
@@ -80,18 +85,22 @@ func (p *Process) Engine() *Engine { return p.eng }
 func (p *Process) Now() Time { return p.eng.Now() }
 
 // Sleep suspends the process for d simulated time.
+//
+//rvmalint:hot
 func (p *Process) Sleep(d Time) {
-	p.eng.schedule(d, 0, p.label, func() { p.resume() })
+	p.eng.schedule(d, 0, p.label, p.wake)
 	p.park()
 }
 
 // Wait suspends the process until the future completes. If the future is
 // already complete it returns immediately without yielding.
+//
+//rvmalint:hot
 func (p *Process) Wait(f *Future) {
 	if f.Done() {
 		return
 	}
-	f.OnComplete(func() { p.resume() })
+	f.OnComplete(p.wake)
 	p.park()
 }
 
@@ -108,10 +117,14 @@ func (p *Process) WaitAll(fs ...*Future) {
 // asynchronous completions (DMA done, message delivered, threshold reached)
 // back to host-side code.
 type Future struct {
-	done      bool
-	at        Time
-	value     any
-	callbacks []func()
+	done  bool
+	at    Time
+	value any
+	// first is the first registered callback, held inline because almost
+	// every future has exactly one (a waiting process's resume); later
+	// callbacks go to more, in registration order.
+	first func()
+	more  []func()
 }
 
 // NewFuture returns a pending future.
@@ -131,6 +144,8 @@ func (f *Future) CompletedAt() Time { return f.at }
 // synchronously (in registration order) at the current simulated time.
 // Completing an already-complete future panics: completions in the models
 // represent unique hardware events.
+//
+//rvmalint:hot
 func (f *Future) Complete(e *Engine, value any) {
 	if f.done {
 		panic("sim: Future completed twice")
@@ -138,21 +153,31 @@ func (f *Future) Complete(e *Engine, value any) {
 	f.done = true
 	f.value = value
 	f.at = e.Now()
-	cbs := f.callbacks
-	f.callbacks = nil
-	for _, cb := range cbs {
+	first, more := f.first, f.more
+	f.first, f.more = nil, nil
+	if first != nil {
+		first()
+	}
+	for _, cb := range more {
 		cb()
 	}
 }
 
 // OnComplete registers a callback to run when the future completes. If the
 // future is already done the callback runs immediately.
+//
+//rvmalint:hot
 func (f *Future) OnComplete(cb func()) {
 	if f.done {
 		cb()
 		return
 	}
-	f.callbacks = append(f.callbacks, cb)
+	if f.first == nil {
+		f.first = cb
+		return
+	}
+	//rvmalint:allow hotalloc -- overflow only: a future's first callback is held inline, and futures with a second waiter are rare
+	f.more = append(f.more, cb)
 }
 
 // Gate is a counting barrier: it opens (completing its future) when Arrive
